@@ -65,18 +65,7 @@ def glauber_step(state: ChainState, model: IsingModel) -> ChainState:
     sigmoid(2 * (h_v + sum of beta_uv * spin_u over neighbors u)).
     With every vertex pinned the spins are left untouched.
     """
-    state.steps_taken += 1
-    free = state.free
-    if free.size == 0:
-        return state
-    v = int(free[state.rng.integers(0, free.size)])
-    field = model.h[v]
-    for u in model.adjacency[v]:
-        key = (u, v) if u < v else (v, u)
-        field += model.beta[key] * state.spins[u]
-    p_plus = 0.5 * (1.0 + math.tanh(field))
-    state.spins[v] = 1 if state.rng.random() < p_plus else -1
-    return state
+    return run_steps(state, model, 1)
 
 
 def run_steps(state: ChainState, model: IsingModel, count: int) -> ChainState:

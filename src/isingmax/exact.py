@@ -1,21 +1,29 @@
 """Exact inference on small Ising models: log partition, marginals, expectations.
 
-All quantities are computed by enumerating spin completions of the free
-vertices, with pinned vertices held at their assigned spins inside the
-enumeration (never folded into fields, so conditional and unconditional
-queries share one code path).  Accumulation happens in log space behind a
-max shift; nothing exponentiates an unshifted energy.
+Every quantity comes from one kernel, `_log_weights`, which lists the
+energy of every completion of the free vertices of a vertex set.  It walks
+the set in increasing id order: a pinned vertex adds its spin times its
+local field to every entry, and a free vertex doubles the array, so the
+free vertices become the index bits (the b-th free vertex is bit b, and bit
+value 0 is spin +1).  Pinned vertices stay inside the enumeration (never
+folded into fields), so conditional and unconditional queries share one
+code path.  Weights are exponentiated behind a max shift; nothing
+exponentiates an unshifted energy.
 
 Two structural guarantees are arranged deliberately:
 
 * computations decompose over connected components, so the log partition
   of a disconnected model is bit-for-bit the sum of its parts;
-* per-configuration weights are summed in sorted order (for components up
-  to 2^20 configurations), which makes scalar expectations exactly
-  antisymmetric under negating all fields and pinned spins.
+* negating all fields and pinned spins gives every configuration's
+  negation bit for bit the same energy, and log partitions and single-vertex
+  expectations sum weights in sorted order, so expectations are exactly
+  antisymmetric under that negation.
 
-Above the sorted-sum limit the code streams over chunks; results are then
-accurate to roundoff but carry no bitwise claims.
+Components with more than 2^20 completions are streamed in chunks, each
+chunk being the kernel run with the high free bits pinned; results are
+then accurate to roundoff but carry no bitwise claims.  `JointTable` keeps
+the kernel's weights of a whole vertex set, so that repeated conditional
+queries read them through a view instead of enumerating again.
 """
 
 from dataclasses import dataclass
@@ -28,14 +36,16 @@ from .model import (
     PartialAssignment,
     VertexSet,
     check_assignment,
-    induced_submodel,
+    restriction_ids,
 )
 from . import graph
 
 DEFAULT_EXACT_BALL_CAP = 25
+# Largest vertex set a JointTable may cover (2^20 weights, 8 MiB).
+DEFAULT_TABLE_CAP = 20
 
 # Components with at most this many free vertices are enumerated in one
-# pass with canonically ordered (sorted) weight sums; larger ones stream.
+# pass; larger ones stream in chunks of 2^_CHUNK_BITS completions.
 _SINGLE_PASS_BITS = 20
 _CHUNK_BITS = 16
 
@@ -44,13 +54,13 @@ _CHUNK_BITS = 16
 class PinnedModel:
     """A model restricted to a vertex subset with some spins pinned.
 
-    ``base`` uses local ids 0..m-1; ``ids[i]`` is the original id of local
-    vertex i.  ``pinning`` and ``free`` are in original ids.  The implied
-    distribution is the Gibbs measure of ``base`` conditioned on the pinned
+    ``ids`` is the sorted subset; ``pinning`` and ``free`` are in the same
+    (original) ids.  The implied distribution is the Gibbs measure of the
+    subgraph of ``model`` induced on ``ids``, conditioned on the pinned
     spins.
     """
 
-    base: IsingModel
+    model: IsingModel
     ids: VertexSet
     pinning: PartialAssignment
     free: VertexSet
@@ -64,15 +74,13 @@ class PinnedModel:
     ) -> "PinnedModel":
         pinning = dict(pinning) if pinning else {}
         check_assignment(pinning, model.n)
-        if subset is None:
-            subset = range(model.n)
-        base, ids = induced_submodel(model, subset)
+        ids = restriction_ids(model, range(model.n) if subset is None else subset)
         members = set(ids)
         for v in pinning:
             if v not in members:
                 raise ModelFormatError(f"pinned vertex {v} is outside the restricted set")
         free = tuple(v for v in ids if v not in pinning)
-        return cls(base=base, ids=ids, pinning=pinning, free=free)
+        return cls(model=model, ids=ids, pinning=pinning, free=free)
 
     def local_index(self, v: int) -> int:
         try:
@@ -88,8 +96,9 @@ def log_partition(pm: PinnedModel, cap: int = DEFAULT_EXACT_BALL_CAP) -> float:
     applies to the free-vertex count of each component.
     """
     total = 0.0
-    for comp in _components(pm):
-        total += comp.log_partition(cap)
+    for comp in graph.induced_components(pm.model, pm.ids):
+        shift, w_sum = _stream(pm, comp, cap, lambda w, free, pin: np.sort(w).sum())
+        total += shift + float(np.log(w_sum))
     return total
 
 
@@ -98,10 +107,13 @@ def expectation(pm: PinnedModel, v: int, cap: int = DEFAULT_EXACT_BALL_CAP) -> f
     if v in pm.pinning:
         return float(pm.pinning[v])
     pm.local_index(v)
-    for comp in _components(pm):
-        if v in comp.id_set:
-            return comp.expectation(v, cap)
-    raise AssertionError("unreachable: vertex not covered by any component")
+    comp = next(c for c in graph.induced_components(pm.model, pm.ids) if v in c)
+
+    def fold(w, free, pin):
+        return np.array([np.sort(x, axis=None).sum() for x in _halves(w, free, pin, v)])
+
+    _, (w_plus, w_minus) = _stream(pm, comp, cap, fold)
+    return float((w_plus - w_minus) / (w_plus + w_minus))
 
 
 def marginal_plus(pm: PinnedModel, v: int, cap: int = DEFAULT_EXACT_BALL_CAP) -> float:
@@ -121,9 +133,10 @@ def weighted_expectation(
         raise ModelFormatError(
             f"weight slice has shape {a.shape}, expected ({len(pm.ids)},)"
         )
+    weight = dict(zip(pm.ids, a.tolist()))
     total = 0.0
-    for comp in _components(pm):
-        total += comp.weighted_mean(a[list(comp.positions)], cap)
+    for comp in graph.induced_components(pm.model, pm.ids):
+        total += float(np.dot([weight[v] for v in comp], _component_means(pm, comp, cap)))
     return total
 
 
@@ -132,238 +145,168 @@ def vertex_expectations(
 ) -> dict[int, float]:
     """Conditional expectation of every vertex in the restricted set."""
     out: dict[int, float] = {}
-    for comp in _components(pm):
-        out.update(comp.vertex_means(cap))
+    for comp in graph.induced_components(pm.model, pm.ids):
+        out.update(zip(comp, _component_means(pm, comp, cap).tolist()))
     return {v: out[v] for v in pm.ids}
 
 
 # ---------------------------------------------------------------------------
-# Per-component enumeration
+# The kernel
 # ---------------------------------------------------------------------------
 
 
-class _Component:
-    """Enumeration workspace for one connected component of a PinnedModel."""
+def _log_weights(model: IsingModel, ids: VertexSet, pinning: PartialAssignment) -> np.ndarray:
+    """Energy of every completion of the free vertices of the sorted set ids.
 
-    def __init__(self, pm: PinnedModel, local_ids: tuple[int, ...]):
-        self.positions = local_ids  # local indices into pm.base
-        self.orig_ids = tuple(pm.ids[i] for i in local_ids)
-        self.id_set = set(self.orig_ids)
-        pos = {li: j for j, li in enumerate(local_ids)}
-        self.m = len(local_ids)
-        self.h = pm.base.h[list(local_ids)]
-        eu, ev, eb = [], [], []
-        members = set(local_ids)
-        for (u, v), b in pm.base.beta.items():
-            if u in members and v in members:
-                eu.append(pos[u])
-                ev.append(pos[v])
-                eb.append(b)
-        self.eu = np.array(eu, dtype=np.int64)
-        self.ev = np.array(ev, dtype=np.int64)
-        self.eb = np.array(eb, dtype=np.float64)
-        self.pinned_cols: list[tuple[int, float]] = []
-        free_cols: list[int] = []
-        for j, orig in enumerate(self.orig_ids):
-            s = pm.pinning.get(orig)
-            if s is None:
-                free_cols.append(j)
-            else:
-                self.pinned_cols.append((j, float(s)))
-        self.free_cols = free_cols
-        self.f = len(free_cols)
-
-    def _check_cap(self, cap: int) -> None:
-        if self.f > cap:
-            raise CapacityError(
-                f"component {self.orig_ids[:4]}... has {self.f} free vertices, "
-                f"exceeding the exact enumeration cap of {cap}; "
-                f"use Monte Carlo estimation instead"
-            )
-
-    def _spin_block(self, idx: np.ndarray) -> np.ndarray:
-        """Full spin matrix (len(idx) x m) for the configuration indices idx."""
-        S = np.empty((idx.shape[0], self.m), dtype=np.float64)
-        for col, spin in self.pinned_cols:
-            S[:, col] = spin
-        for bit, col in enumerate(self.free_cols):
-            S[:, col] = 1.0 - 2.0 * ((idx >> np.uint64(bit)) & np.uint64(1))
-        return S
-
-    def _energies(self, S: np.ndarray) -> np.ndarray:
-        E = S @ self.h
-        if self.eb.size:
-            E += (S[:, self.eu] * S[:, self.ev]) @ self.eb
-        return E
-
-    def _chunks(self):
-        total = 1 << self.f
-        step = 1 << _CHUNK_BITS
-        for start in range(0, total, step):
-            idx = np.arange(start, min(start + step, total), dtype=np.uint64)
-            yield idx
-
-    def _full_energy(self) -> np.ndarray:
-        total = 1 << self.f
-        E = np.empty(total, dtype=np.float64)
-        for idx in self._chunks():
-            E[int(idx[0]): int(idx[-1]) + 1] = self._energies(self._spin_block(idx))
-        return E
-
-    def log_partition(self, cap: int) -> float:
-        self._check_cap(cap)
-        if self.f <= _SINGLE_PASS_BITS:
-            E = self._full_energy()
-            shift = float(E.max())
-            return shift + float(np.log(np.sort(np.exp(E - shift)).sum()))
-        shift, w_sum = -np.inf, 0.0
-        for idx in self._chunks():
-            E = self._energies(self._spin_block(idx))
-            m = float(E.max())
-            if m > shift:
-                w_sum *= np.exp(shift - m)
-                shift = m
-            w_sum += float(np.exp(E - shift).sum())
-        return shift + float(np.log(w_sum))
-
-    def expectation(self, v: int, cap: int) -> float:
-        self._check_cap(cap)
-        # Locate the free bit driving vertex v (v is free: pinned vertices
-        # are answered before dispatching here).
-        col = self.orig_ids.index(v)
-        bit = self.free_cols.index(col)
-        if self.f <= _SINGLE_PASS_BITS:
-            E = self._full_energy()
-            shift = float(E.max())
-            w = np.exp(E - shift)
-            idx = np.arange(1 << self.f, dtype=np.uint64)
-            plus = ((idx >> np.uint64(bit)) & np.uint64(1)) == 0
-            w_plus = float(np.sort(w[plus]).sum())
-            w_minus = float(np.sort(w[~plus]).sum())
-            return (w_plus - w_minus) / (w_plus + w_minus)
-        shift, w_plus, w_minus = -np.inf, 0.0, 0.0
-        for idx in self._chunks():
-            E = self._energies(self._spin_block(idx))
-            m = float(E.max())
-            if m > shift:
-                scale = np.exp(shift - m)
-                w_plus *= scale
-                w_minus *= scale
-                shift = m
-            w = np.exp(E - shift)
-            plus = ((idx >> np.uint64(bit)) & np.uint64(1)) == 0
-            w_plus += float(w[plus].sum())
-            w_minus += float(w[~plus].sum())
-        return (w_plus - w_minus) / (w_plus + w_minus)
-
-    def weighted_mean(self, a_local: np.ndarray, cap: int) -> float:
-        self._check_cap(cap)
-        shift, w_sum, aw_sum = -np.inf, 0.0, 0.0
-        for idx in self._chunks():
-            S = self._spin_block(idx)
-            E = self._energies(S)
-            A = S @ a_local
-            m = float(E.max())
-            if m > shift:
-                scale = np.exp(shift - m)
-                w_sum *= scale
-                aw_sum *= scale
-                shift = m
-            w = np.exp(E - shift)
-            w_sum += float(w.sum())
-            aw_sum += float(w @ A)
-        return aw_sum / w_sum
-
-    def vertex_means(self, cap: int) -> dict[int, float]:
-        self._check_cap(cap)
-        shift, w_sum = -np.inf, 0.0
-        sums = np.zeros(self.m)
-        for idx in self._chunks():
-            S = self._spin_block(idx)
-            E = self._energies(S)
-            m = float(E.max())
-            if m > shift:
-                scale = np.exp(shift - m)
-                w_sum *= scale
-                sums *= scale
-                shift = m
-            w = np.exp(E - shift)
-            w_sum += float(w.sum())
-            sums += w @ S
-        means = sums / w_sum
-        for col, spin in self.pinned_cols:
-            means[col] = spin  # pinned spins are exact, not a float ratio
-        return {v: float(means[j]) for j, v in enumerate(self.orig_ids)}
+    Vertex v contributes s_v * c_v with c_v = h_v + sum of beta_uv * s_u over
+    its neighbours u < v in ids.  A pinned v adds s_v * c_v to every entry;
+    a free v doubles the array to [E + c_v, E - c_v].  Each beta_uv * s_u
+    term of a free u is one add on the view of c_v that splits u's bit.
+    ``pinning`` may also name vertices outside ids that have no neighbour
+    in ids (the other components' pins).
+    """
+    E = np.zeros(1 << sum(v not in pinning for v in ids))
+    bit: dict[int, int] = {}
+    size = 1
+    for v in ids:
+        c = float(model.h[v])
+        terms = []
+        for u in model.adjacency[v]:
+            if u >= v:
+                break
+            if u in bit:
+                terms.append((bit[u], model.beta[(u, v)]))
+            elif u in pinning:
+                c += model.beta[(u, v)] * pinning[u]
+        if terms:
+            c = np.full(size, c)
+            for b, beta in terms:
+                split = c.reshape(-1, 2, 1 << b)
+                split += np.array([[beta], [-beta]])
+        s = pinning.get(v)
+        if s is None:
+            _double(E, size, c)
+            bit[v] = len(bit)
+            size *= 2
+        else:
+            E[:size] += s * c
+    return E
 
 
-def _components(pm: PinnedModel) -> list[_Component]:
-    comps = graph.connected_components(pm.base)
-    return [_Component(pm, comp) for comp in comps]
+def _double(x: np.ndarray, size: int, c) -> None:
+    """In place, set x[:2*size] to [x[:size] + c, x[:size] - c]: one new spin bit."""
+    np.subtract(x[:size], c, out=x[size:2 * size])
+    x[:size] += c
+
+
+def _stream(pm: PinnedModel, comp: VertexSet, cap: int, fold):
+    """Fold the shifted weights of a component's completions.
+
+    Returns (shift, sum of fold(w, free, pin) over chunks), where w holds
+    exp(energy - shift) of one chunk, ``free`` lists the chunk's free
+    vertices in bit order and ``pin`` is its pinning.  Up to 2^_SINGLE_PASS_BITS
+    completions form a single chunk; beyond that the high free bits are
+    pinned chunk by chunk and earlier sums are rescaled as the shift rises.
+    """
+    free = [v for v in comp if v not in pm.pinning]
+    if len(free) > cap:
+        raise CapacityError(
+            f"component {comp[:4]}... has {len(free)} free vertices, "
+            f"exceeding the exact enumeration cap of {cap}; "
+            f"use Monte Carlo estimation instead"
+        )
+    low = len(free) if len(free) <= _SINGLE_PASS_BITS else min(len(free), _CHUNK_BITS)
+    high = free[low:]
+    shift, acc = -np.inf, 0.0
+    for chunk in range(1 << len(high)):
+        pin = dict(pm.pinning)
+        pin.update((v, 1 - 2 * (chunk >> t & 1)) for t, v in enumerate(high))
+        E = _log_weights(pm.model, comp, pin)
+        top = float(E.max())
+        if top > shift:
+            acc = acc * np.exp(shift - top)
+            shift = top
+        E -= shift
+        acc = acc + fold(np.exp(E, out=E), free[:low], pin)
+    return shift, acc
+
+
+def _halves(w: np.ndarray, free, pin: PartialAssignment, v: int):
+    """Weights of the completions with spin +1 at v, and of those with -1."""
+    if v in pin:
+        return (w, w[:0]) if pin[v] == 1 else (w[:0], w)
+    split = w.reshape(-1, 2, 1 << free.index(v))
+    return split[:, 0], split[:, 1]
+
+
+def _spin_sums(w: np.ndarray, free, pin: PartialAssignment, ids) -> np.ndarray:
+    """Total weight, then the weighted spin sum of each vertex of ids."""
+    sums = [w.sum()]
+    for v in ids:
+        plus, minus = _halves(w, free, pin, v)
+        sums.append(plus.sum() - minus.sum())
+    return np.array(sums)
+
+
+def _component_means(pm: PinnedModel, comp: VertexSet, cap: int) -> np.ndarray:
+    """Conditional expectation of each vertex of one component, in order."""
+    _, sums = _stream(pm, comp, cap, lambda w, free, pin: _spin_sums(w, free, pin, comp))
+    return sums[1:] / sums[0]
 
 
 # ---------------------------------------------------------------------------
-# Joint weight tables: the ratio-form path for repeated conditional queries
+# Joint weight tables: cached weights for repeated conditional queries
 # ---------------------------------------------------------------------------
-
-DEFAULT_TABLE_CAP = 20
 
 
 class JointTable:
-    """Precomputed joint weights of a small vertex set, for repeated queries.
+    """The kernel's weights of every configuration of a small vertex set.
 
-    Stores one row per configuration of the whole set; conditioning on a
-    pinning selects the consistent rows.  This is an independent route to
-    the same conditional quantities as the enumeration above (weights of the
-    unpinned joint, then a ratio), and the two are cross-checked in tests.
+    ``w`` holds exp(energy - log_shift) for all 2^m configurations of
+    ``ids`` in the kernel's bit order.  Conditioning on a pinning is basic
+    indexing on ``w`` viewed with one axis per vertex, so a conditional
+    query reads the consistent weights without copying or enumerating.
+    The cap is checked before anything is allocated.
     """
 
     def __init__(self, model: IsingModel, vertices, cap: int = DEFAULT_TABLE_CAP):
-        sub, ids = induced_submodel(model, vertices)
-        if sub.n > cap:
+        ids = restriction_ids(model, vertices)
+        if len(ids) > cap:
             raise CapacityError(
-                f"joint table over {sub.n} vertices exceeds the table cap of {cap}"
+                f"joint table over {len(ids)} vertices exceeds the table cap of {cap}"
             )
         self.ids = ids
-        self._pos = {v: i for i, v in enumerate(ids)}
-        m = sub.n
-        idx = np.arange(1 << m, dtype=np.uint64)
-        bits = (idx[:, None] >> np.arange(m, dtype=np.uint64)) & np.uint64(1)
-        spins = (1.0 - 2.0 * bits).astype(np.float64)
-        E = spins @ sub.h
-        eu, ev, eb = sub.edge_arrays()
-        if eb.size:
-            E += (spins[:, eu] * spins[:, ev]) @ eb
+        # Vertex ids[i] is bit i, which is axis m-1-i of the (2,)*m view.
+        self._axis = {v: len(ids) - 1 - i for i, v in enumerate(ids)}
+        E = _log_weights(model, ids, {})
         self.log_shift = float(E.max())
-        self.w = np.exp(E - self.log_shift)
-        self.spins = spins
-        self._w_total = float(self.w.sum())
+        E -= self.log_shift
+        self.w = np.exp(E, out=E)
 
-    def mask(self, pinning: PartialAssignment) -> np.ndarray:
-        out = np.ones(self.w.shape[0], dtype=bool)
-        for v, s in pinning.items():
-            out &= self.spins[:, self._pos[v]] == float(s)
-        return out
+    def _select(self, x: np.ndarray, pinning: PartialAssignment | None) -> np.ndarray:
+        """View of x (one entry per configuration) consistent with the pinning."""
+        index = [slice(None)] * len(self.ids)
+        for v, s in (pinning or {}).items():
+            index[self._axis[v]] = 0 if s == 1 else 1
+        return x.reshape((2,) * len(self.ids))[tuple(index)]
 
     def config_values(self, a: np.ndarray) -> np.ndarray:
         """Per-configuration value of sum_i a[i] * spin_i, aligned with ids."""
-        return self.spins @ np.asarray(a, dtype=np.float64)
+        values = np.zeros(1 << len(self.ids))
+        for b, a_v in enumerate(np.asarray(a, dtype=np.float64).tolist()):
+            _double(values, 1 << b, a_v)
+        return values
 
     def log_partition(self, pinning: PartialAssignment | None = None) -> float:
-        if not pinning:
-            return self.log_shift + float(np.log(self._w_total))
-        ws = float(self.w[self.mask(pinning)].sum())
-        return self.log_shift + float(np.log(ws))
+        return self.log_shift + float(np.log(self._select(self.w, pinning).sum()))
 
     def mean_of(self, values: np.ndarray, pinning: PartialAssignment | None = None) -> float:
-        if not pinning:
-            return float(self.w @ values) / self._w_total
-        sel = self.mask(pinning)
-        ws = self.w[sel]
-        return float(ws @ values[sel]) / float(ws.sum())
+        ws = self._select(self.w, pinning)
+        return float((ws * self._select(values, pinning)).sum()) / float(ws.sum())
 
     def vertex_means(self, pinning: PartialAssignment | None = None) -> np.ndarray:
-        if not pinning:
-            return (self.w @ self.spins) / self._w_total
-        sel = self.mask(pinning)
-        ws = self.w[sel]
-        return (ws @ self.spins[sel]) / float(ws.sum())
+        pinning = pinning or {}
+        free = [v for v in self.ids if v not in pinning]
+        ws = self._select(self.w, pinning).ravel()
+        sums = _spin_sums(ws, free, pinning, self.ids)
+        return sums[1:] / sums[0]

@@ -6,10 +6,10 @@ change on the induced submodel of the radius-r ball around S.  Both reduce
 to per-component conditional expectations, and components that contain no
 pinned vertex contribute exactly zero and are skipped.
 
-`InfluenceEvaluator` caches per-component joint tables so that repeated
-queries against one model (the solver's cluster scoring, the brute-force
-reference search) cost one enumeration per distinct region rather than one
-per query.
+`InfluenceEvaluator` caches one joint weight table per distinct component
+of at most `exact.DEFAULT_TABLE_CAP` vertices, so that repeated queries
+against one model (the solver's cluster scoring, the brute-force reference
+search) cost one enumeration per region rather than one per query.
 """
 
 import math
@@ -61,20 +61,24 @@ class MonteCarloFallback:
 
 
 class InfluenceEvaluator:
-    """Exact influence queries against one fixed (model, weights) pair."""
+    """Exact influence queries against one fixed (model, weights) pair.
+
+    A component of at most `DEFAULT_TABLE_CAP` vertices is enumerated once
+    into a `JointTable`, together with its per-configuration weighted spin
+    sums and its unpinned mean; every later pinning of it is a view of that
+    table.  Larger components, up to `ball_cap`, are enumerated per query.
+    """
 
     def __init__(
         self,
         model: IsingModel,
         weights: WeightVector,
         ball_cap: int = DEFAULT_EXACT_BALL_CAP,
-        table_cap: int = DEFAULT_TABLE_CAP,
     ):
         check_weights(model, weights)
         self.model = model
         self.weights = weights
         self.ball_cap = ball_cap
-        self.table_cap = table_cap
         self._tables: dict[VertexSet, JointTable] = {}
         self._avals: dict[VertexSet, np.ndarray] = {}
         self._base_mean: dict[VertexSet, float] = {}
@@ -119,10 +123,10 @@ class InfluenceEvaluator:
             raise CapacityError(
                 f"component of size {len(comp)} exceeds exact_ball_cap={self.ball_cap}"
             )
-        if len(comp) <= self.table_cap:
+        if len(comp) <= DEFAULT_TABLE_CAP:
             table = self._tables.get(comp)
             if table is None:
-                table = JointTable(self.model, comp, cap=self.table_cap)
+                table = JointTable(self.model, comp)
                 self._tables[comp] = table
                 self._avals[comp] = table.config_values(self.weights.a[list(comp)])
                 self._base_mean[comp] = table.mean_of(self._avals[comp])
@@ -252,19 +256,12 @@ def total_influence_profile(
             f"component of {len(comp)} vertices leaves {len(comp) - len(pin_plus)} "
             f"free, exceeding exact_ball_cap={ball_cap}"
         )
-    if len(comp) <= DEFAULT_TABLE_CAP:
-        table = JointTable(model, comp)
-        means_p = table.vertex_means(pin_plus)
-        means_m = table.vertex_means(pin_minus)
-        mean_by_id_p = dict(zip(table.ids, means_p))
-        mean_by_id_m = dict(zip(table.ids, means_m))
-    else:
-        mean_by_id_p = exact.vertex_expectations(
-            PinnedModel.make(model, comp, pin_plus), cap=ball_cap
-        )
-        mean_by_id_m = exact.vertex_expectations(
-            PinnedModel.make(model, comp, pin_minus), cap=ball_cap
-        )
+    mean_by_id_p = exact.vertex_expectations(
+        PinnedModel.make(model, comp, pin_plus), cap=ball_cap
+    )
+    mean_by_id_m = exact.vertex_expectations(
+        PinnedModel.make(model, comp, pin_minus), cap=ball_cap
+    )
     dist = graph.bfs_distances(model, [u])
     ecc = max((dist[v] for v in comp), default=0)
     sums = [0.0] * max(ecc, 0)

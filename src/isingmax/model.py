@@ -315,18 +315,24 @@ def random_weights(n: int, a_range: tuple[float, float], seed: int) -> WeightVec
     return WeightVector(rng.uniform(a_range[0], a_range[1], size=n))
 
 
-def induced_submodel(model: IsingModel, vertices) -> tuple[IsingModel, VertexSet]:
-    """Restrict the model to a vertex subset, relabelling to 0..m-1.
-
-    Returns the submodel and the sorted original ids; original id
-    ``ids[i]`` corresponds to submodel vertex ``i``.
-    """
+def restriction_ids(model: IsingModel, vertices) -> VertexSet:
+    """Sorted ids of a nonempty subset of the model's vertices, validated."""
     ids = as_vertex_set(vertices)
     if not ids:
         raise ModelFormatError("cannot restrict a model to the empty vertex set")
     if ids[0] < 0 or ids[-1] >= model.n:
         bad = ids[0] if ids[0] < 0 else ids[-1]
         raise ModelFormatError(f"unknown vertex {bad} in restriction")
+    return ids
+
+
+def induced_submodel(model: IsingModel, vertices) -> tuple[IsingModel, VertexSet]:
+    """Restrict the model to a vertex subset, relabelling to 0..m-1.
+
+    Returns the submodel and the sorted original ids; original id
+    ``ids[i]`` corresponds to submodel vertex ``i``.
+    """
+    ids = restriction_ids(model, vertices)
     pos = {v: i for i, v in enumerate(ids)}
     members = set(ids)
     beta = {

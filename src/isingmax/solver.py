@@ -197,7 +197,12 @@ def budgeted_mwis(H: ClusterGraph, k: int) -> list[int]:
             search(idx + 1, chosen, cost + c.cost, weight + c.weight)
             chosen.pop()
 
-    search(0, [], 0, 0.0)
+    try:
+        search(0, [], 0, 0.0)
+    finally:
+        # The closure refers to itself through its cell; emptying the cell
+        # breaks that cycle, which would keep H alive until a full collection.
+        del search
     return list(best_set)
 
 

@@ -241,6 +241,23 @@ class TestJointTable:
         with pytest.raises(CapacityError):
             JointTable(m, range(8), cap=5)
 
+    def test_conditional_queries_match_brute_force(self):
+        # against the test-local oracle, not the enumeration the table shares
+        for seed in range(4):
+            m = random_instance(8, 3, (-0.5, 0.5), (-0.8, 0.8), seed)
+            a = np.linspace(-1, 1, 8)
+            table = JointTable(m, range(m.n))
+            vals = table.config_values(a)
+            for pinning in ({}, {5: 1}, {0: -1, 7: 1}, {2: 1, 3: 1, 6: -1}):
+                assert table.log_partition(pinning) == pytest.approx(
+                    local_logz(m, pinning), abs=1e-11
+                )
+                want = [local_expectation(m, v, pinning) for v in range(m.n)]
+                assert table.vertex_means(pinning) == pytest.approx(want, abs=1e-12)
+                assert table.mean_of(vals, pinning) == pytest.approx(
+                    float(np.dot(a, want)), abs=1e-12
+                )
+
 
 def test_vertex_expectations_matches_scalar_path():
     m = random_instance(10, 3, (-0.5, 0.5), (-0.6, 0.6), seed=17)
@@ -267,3 +284,26 @@ def test_chunked_path_agrees_with_small_path():
         ex._SINGLE_PASS_BITS = old
     assert lz_stream == pytest.approx(lz_small, abs=1e-12)
     assert e_stream == pytest.approx(e_small, abs=1e-12)
+
+
+def test_streaming_means_agree_with_single_pass():
+    # 18 free vertices make four 2^16 chunks; the pinned vertices come
+    # before the chunk bits and after the chunk-selecting high bits
+    m = random_instance(20, 3, (-0.3, 0.3), (-0.4, 0.4), seed=5)
+    a = np.linspace(-1, 1, 20)
+    pm = PinnedModel.make(m, pinning={0: 1, 19: -1})
+    import isingmax.exact as ex
+
+    old = ex._SINGLE_PASS_BITS
+    try:
+        w_small = weighted_expectation(pm, a)
+        v_small = vertex_expectations(pm)
+        ex._SINGLE_PASS_BITS = 0  # force streaming everywhere
+        w_stream = weighted_expectation(pm, a)
+        v_stream = vertex_expectations(pm)
+    finally:
+        ex._SINGLE_PASS_BITS = old
+    assert w_stream == pytest.approx(w_small, abs=1e-12)
+    assert v_stream[0] == 1.0 and v_stream[19] == -1.0
+    for v in range(20):
+        assert v_stream[v] == pytest.approx(v_small[v], abs=1e-12)

@@ -9,7 +9,9 @@ Independent oracles used here:
     - closed forms for edgeless and single-edge instances.
 """
 
+import gc
 import math
+import weakref
 from itertools import combinations, product
 
 import numpy as np
@@ -207,6 +209,18 @@ class TestBudgetedMwis:
         H = make_cluster_graph([4.0, 4.0, 7.0], [2, 2, 3], [])
         assert budgeted_mwis(H, 3) == [2]
         assert budgeted_mwis(H, 4) == [0, 1]
+
+    def test_releases_the_cluster_graph_without_a_collection(self):
+        # no reference cycle may keep H alive once the caller drops it
+        H = make_cluster_graph([2.0, 5.0, 2.0], [1, 1, 1], [(0, 1), (1, 2)])
+        ref = weakref.ref(H)
+        gc.disable()
+        try:
+            assert budgeted_mwis(H, 2) == [1]
+            del H
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_matches_exhaustive_on_random_graphs(self):
         rng = np.random.default_rng(5)
