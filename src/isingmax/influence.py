@@ -112,7 +112,8 @@ class InfluenceEvaluator:
     def _region_influence(self, region: VertexSet, sigma_S: PartialAssignment) -> float:
         total = 0.0
         for comp in graph.induced_components(self.model, region):
-            pin = {v: s for v, s in sigma_S.items() if v in set(comp)}
+            members = set(comp)
+            pin = {v: s for v, s in sigma_S.items() if v in members}
             if not pin:
                 continue  # unpinned components cancel exactly
             total += self._component_influence(comp, pin)

@@ -48,11 +48,17 @@ class Cluster:
 
 @dataclass
 class ClusterGraph:
-    """Clusters plus their power-graph adjacency (pairs of indices, i < j)."""
+    """Clusters plus their power-graph adjacency (pairs of indices, i < j).
+
+    ``adjacency`` is read-only after construction: the neighbour sets are
+    derived from it once, on first use (or handed over by
+    `build_cluster_graph`), and then serve `neighbor_sets` and `max_degree`.
+    """
 
     clusters: list[Cluster]
     adjacency: list[tuple[int, int]]
     radius: int
+    _neighbors: list[set[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -60,18 +66,17 @@ class ClusterGraph:
 
     @property
     def max_degree(self) -> int:
-        deg = [0] * len(self.clusters)
-        for i, j in self.adjacency:
-            deg[i] += 1
-            deg[j] += 1
-        return max(deg, default=0)
+        return max(map(len, self.neighbor_sets()), default=0)
 
     def neighbor_sets(self) -> list[set[int]]:
-        ns: list[set[int]] = [set() for _ in self.clusters]
-        for i, j in self.adjacency:
-            ns[i].add(j)
-            ns[j].add(i)
-        return ns
+        """Per cluster, the indices of its neighbours; shared, do not modify."""
+        if self._neighbors is None:
+            ns: list[set[int]] = [set() for _ in self.clusters]
+            for i, j in self.adjacency:
+                ns[i].add(j)
+                ns[j].add(i)
+            self._neighbors = ns
+        return self._neighbors
 
 
 @dataclass
@@ -126,13 +131,27 @@ def build_cluster_graph(
     lexicographically (+1 before -1 per vertex, smaller ids first), the
     local influence at radius r is computed on the induced ball, and the
     first maximizer is kept, so ties resolve deterministically.
+
+    Clusters T_i and T_j are adjacent when T_j meets the (2r+1)-ball of T_i,
+    i.e. when they overlap or lie within distance 2r+1 of each other.  An
+    index from each vertex to the clusters holding it makes T_i's
+    neighbours the union of that index over its ball, so wiring costs about
+    as much as the edges it yields, not one test per pair of clusters.  The
+    pairs (i, j), i < j, are listed in ascending order, and the neighbour
+    sets found on the way are handed to the graph.
     """
     check_weights(model, weights)
     if evaluator is None:
         evaluator = InfluenceEvaluator(model, weights, ball_cap=cfg.exact_ball_cap)
+    subsets = graph.enumerate_connected_clusters(model, cfg.k, r)
+    containing: list[list[int]] = [[] for _ in range(model.n)]
+    for i, T in enumerate(subsets):
+        for v in T:
+            containing[v].append(i)
     clusters: list[Cluster] = []
-    reach_balls: list[set[int]] = []
-    for T in graph.enumerate_connected_clusters(model, cfg.k, r):
+    neighbors: list[set[int]] = []
+    adjacency: list[tuple[int, int]] = []
+    for i, T in enumerate(subsets):
         ball_T = graph.ball(model, T, r)
         if len(ball_T) > cfg.exact_ball_cap:
             raise CapacityError(
@@ -148,13 +167,22 @@ def build_cluster_graph(
                 best_value = value
                 best_sigma = sigma
         clusters.append(Cluster(T=T, cost=len(T), weight=best_value, best_assignment=best_sigma))
-        reach_balls.append(set(graph.ball(model, T, 2 * r + 1)))
-    adjacency: list[tuple[int, int]] = []
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            if any(v in reach_balls[i] for v in clusters[j].T):
-                adjacency.append((i, j))
-    return ClusterGraph(clusters=clusters, adjacency=adjacency, radius=r)
+        near: set[int] = set()
+        for v in graph.ball(model, T, 2 * r + 1):
+            near.update(containing[v])
+        near.discard(i)
+        neighbors.append(near)
+        adjacency.extend((i, j) for j in sorted(near) if j > i)
+    H = ClusterGraph(clusters=clusters, adjacency=adjacency, radius=r)
+    H._neighbors = neighbors  # distance is symmetric, so these match the pairs
+    return H
+
+
+# Relative slack on the search bound.  Every weight in the search is
+# positive, so rounding in the running sums and in budget * ratio moves
+# them by at most about (k + 4) ulps, relative; 1e-9 covers that for any
+# budget below about 10^6.
+_BOUND_SLACK = 1e-9
 
 
 def budgeted_mwis(H: ClusterGraph, k: int) -> list[int]:
@@ -162,21 +190,32 @@ def budgeted_mwis(H: ClusterGraph, k: int) -> list[int]:
 
     Keeps, per cost class, the k*(D+1) heaviest clusters (every vertex
     blocks at most D+1 others, so this pruned pool still contains an
-    optimal solution) and searches subsets of the pool.  The empty set is
-    always feasible, so clusters with non-positive weight are never forced
-    into the answer.
+    optimal solution), drops those with non-positive weight (the empty set
+    is always feasible, so they are never needed), and searches subsets of
+    the pool depth first in ascending index order.  A branch is cut when
+    its weight plus the remaining budget times the best weight per unit
+    cost left in the pool, inflated by a rounding slack, cannot beat the
+    best weight found.  Only strict improvements are recorded, so the
+    answer is the first maximum-weight set in lexicographic index order,
+    with or without the cuts.
     """
     if k < 1:
         raise ValueError(f"budget must be >= 1, got {k}")
-    D = H.max_degree
-    keep = k * (D + 1)
+    keep = k * (H.max_degree + 1)
     pool: list[int] = []
     for cost in range(1, k + 1):
-        cls = [i for i, c in enumerate(H.clusters) if c.cost == cost]
+        cls = [i for i, c in enumerate(H.clusters) if c.cost == cost and c.weight > 0.0]
         cls.sort(key=lambda i: (-H.clusters[i].weight, i))
         pool.extend(cls[:keep])
     pool.sort()
+    weight_of = [H.clusters[i].weight for i in pool]
+    cost_of = [H.clusters[i].cost for i in pool]
     neighbor = H.neighbor_sets()
+    # ratio[idx]: the largest weight per unit cost among pool[idx:]
+    ratio = [0.0] * (len(pool) + 1)
+    for idx in range(len(pool) - 1, -1, -1):
+        ratio[idx] = max(weight_of[idx] / cost_of[idx], ratio[idx + 1])
+    inflate = 1.0 + _BOUND_SLACK
 
     best_weight = 0.0
     best_set: tuple[int, ...] = ()
@@ -186,15 +225,15 @@ def budgeted_mwis(H: ClusterGraph, k: int) -> list[int]:
         if weight > best_weight:
             best_weight = weight
             best_set = tuple(chosen)
+        room = k - cost
         for idx in range(start, len(pool)):
+            if (weight + room * ratio[idx]) * inflate <= best_weight:
+                break  # ratio only falls further along the pool
             i = pool[idx]
-            c = H.clusters[i]
-            if c.weight <= 0.0 or cost + c.cost > k:
-                continue
-            if any(j in neighbor[i] for j in chosen):
+            if cost_of[idx] > room or not neighbor[i].isdisjoint(chosen):
                 continue
             chosen.append(i)
-            search(idx + 1, chosen, cost + c.cost, weight + c.weight)
+            search(idx + 1, chosen, cost + cost_of[idx], weight + weight_of[idx])
             chosen.pop()
 
     try:

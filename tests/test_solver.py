@@ -145,6 +145,32 @@ class TestBuildClusterGraph:
                 continue
             assert ((Ti, Tj) in pairs) == power_adjacent(m, Ti, Tj, 0)
 
+    def test_adjacency_matches_definition_on_random_instances(self):
+        # adjacent exactly when the clusters overlap or are power-adjacent
+        class ZeroScores:
+            def local_influence(self, T, sigma, r):
+                return 0.0
+
+        for k in (1, 2, 3):
+            for r in (0, 1, 2):
+                n = 40 if k * r <= 2 else 14  # keeps the pair count small
+                m = random_instance(n, 3, (-0.4, 0.4), (-0.5, 0.5), seed=10 * k + r)
+                cfg = SolverConfig(k=k, epsilon=0.1, exact_ball_cap=n)
+                H = build_cluster_graph(
+                    m, WeightVector.ones(n), cfg, r=r, evaluator=ZeroScores()
+                )
+                assert H.adjacency == sorted(H.adjacency)
+                expected = [
+                    (i, j)
+                    for i, j in combinations(range(len(H.clusters)), 2)
+                    if set(H.clusters[i].T) & set(H.clusters[j].T)
+                    or power_adjacent(m, H.clusters[i].T, H.clusters[j].T, r)
+                ]
+                assert H.adjacency == expected, (k, r)
+                rebuilt = ClusterGraph(clusters=H.clusters, adjacency=H.adjacency, radius=r)
+                assert H.neighbor_sets() == rebuilt.neighbor_sets()
+                assert H.max_degree == rebuilt.max_degree
+
     def test_zero_weights_tie_break_all_plus(self):
         m = path_model(4)
         cfg = SolverConfig(k=2, epsilon=0.1)
@@ -243,6 +269,43 @@ class TestBudgetedMwis:
             assert got_value == pytest.approx(
                 exhaustive_mwis_value(weights, costs, edges, k), abs=1e-12
             )
+
+    def test_ties_resolve_to_first_set_in_index_order(self):
+        # small integer weights make many ties; the answer is the first
+        # maximum-weight set among index-sorted tuples (a prefix first)
+        rng = np.random.default_rng(11)
+        for trial in range(3000):
+            n = int(rng.integers(1, 10))
+            k = int(rng.integers(1, 5))
+            weights = [float(w) for w in rng.integers(-2, 5, size=n)]
+            costs = [int(c) for c in rng.integers(1, 4, size=n)]
+            edges = [
+                (i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.3
+            ]
+            adj = set(edges)
+            positive = [i for i in range(n) if weights[i] > 0.0]
+            best_key = (-0.0, ())
+            for size in range(1, k + 1):
+                for S in combinations(positive, size):
+                    if sum(costs[i] for i in S) > k:
+                        continue
+                    if any(pair in adj for pair in combinations(S, 2)):
+                        continue
+                    value = 0.0
+                    for i in S:
+                        value += weights[i]
+                    best_key = min(best_key, (-value, S))
+            H = make_cluster_graph(weights, costs, edges)
+            assert budgeted_mwis(H, k) == list(best_key[1]), trial
+
+    def test_pair_one_ulp_ahead_survives_the_bound(self):
+        # cluster 0 alone (cost 4) weighs one ulp less than the pair {1, 2};
+        # the bound at {1} without slack, a + 3 * (b / 3), rounds to <= single
+        a, b = 0.5, 50 / 7
+        single = math.nextafter(a + b, 0.0)
+        assert a + 3 * (b / 3) <= single < a + b
+        H = make_cluster_graph([single, a, b], [4, 1, 3], [])
+        assert budgeted_mwis(H, 4) == [1, 2]
 
 
 class TestSolveInfmax:
