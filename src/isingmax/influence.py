@@ -6,10 +6,11 @@ change on the induced submodel of the radius-r ball around S.  Both reduce
 to per-component conditional expectations, and components that contain no
 pinned vertex contribute exactly zero and are skipped.
 
-`InfluenceEvaluator` caches one joint weight table per distinct component
-of at most `exact.DEFAULT_TABLE_CAP` vertices, so that repeated queries
-against one model (the solver's cluster scoring, the brute-force reference
-search) cost one enumeration per region rather than one per query.
+`InfluenceEvaluator` keeps the tables of one region, the last one queried,
+for as long as queries stay on it: the solver's 2^|T| assignments of a
+cluster share its ball, and the brute-force reference search queries the
+whole model every time, so each costs one enumeration per region rather
+than one per query, and memory stays that of a single region.
 """
 
 import math
@@ -63,10 +64,15 @@ class MonteCarloFallback:
 class InfluenceEvaluator:
     """Exact influence queries against one fixed (model, weights) pair.
 
-    A component of at most `DEFAULT_TABLE_CAP` vertices is enumerated once
-    into a `JointTable`, together with its per-configuration weighted spin
+    The evaluator remembers the last region queried (a ball, or the whole
+    model for global queries) with its induced components, and the pinned
+    set and radius that produced it, so a repeated query skips the ball.
+    A component of at most `DEFAULT_TABLE_CAP` vertices is enumerated on
+    first use into a `JointTable`, with its per-configuration weighted spin
     sums and its unpinned mean; every later pinning of it is a view of that
-    table.  Larger components, up to `ball_cap`, are enumerated per query.
+    table.  Larger components, up to `ball_cap`, keep only their unpinned
+    mean and are enumerated per query.  Tables live as long as their region
+    is being queried: a query on another region replaces them.
     """
 
     def __init__(
@@ -79,39 +85,32 @@ class InfluenceEvaluator:
         self.model = model
         self.weights = weights
         self.ball_cap = ball_cap
-        self._tables: dict[VertexSet, JointTable] = {}
-        self._avals: dict[VertexSet, np.ndarray] = {}
-        self._base_mean: dict[VertexSet, float] = {}
-        self._components: list[VertexSet] | None = None
-
-    def model_components(self) -> list[VertexSet]:
-        if self._components is None:
-            self._components = graph.connected_components(self.model)
-        return self._components
+        self._key = None  # (S, r) that produced the region; r None for global
+        self._region: VertexSet | None = None
+        self._comps: list[VertexSet] = []
+        self._parts: dict[VertexSet, tuple] = {}  # comp -> (table, vals, base)
 
     def global_influence(self, S, sigma_S: PartialAssignment) -> float:
         """Influence of the pinning on the whole model."""
-        S = as_vertex_set(S)
-        if not S:
-            return 0.0
-        members = set(S)
-        total = 0.0
-        for comp in self.model_components():
-            if members & set(comp):
-                total += self._region_influence(comp, sigma_S)
-        return total
+        return self._region_influence(S, sigma_S, None)
 
     def local_influence(self, S, sigma_S: PartialAssignment, r: int) -> float:
         """Influence of the pinning on the induced submodel of B(S, r)."""
+        return self._region_influence(S, sigma_S, r)
+
+    def _region_influence(self, S, sigma_S: PartialAssignment, r: int | None) -> float:
         S = as_vertex_set(S)
         if not S:
             return 0.0
-        region = graph.ball(self.model, S, r)
-        return self._region_influence(region, sigma_S)
-
-    def _region_influence(self, region: VertexSet, sigma_S: PartialAssignment) -> float:
+        if (S, r) != self._key:
+            region = tuple(range(self.model.n)) if r is None else graph.ball(self.model, S, r)
+            if region != self._region:
+                self._region = region
+                self._comps = graph.induced_components(self.model, region)
+                self._parts = {}
+            self._key = (S, r)
         total = 0.0
-        for comp in graph.induced_components(self.model, region):
+        for comp in self._comps:
             members = set(comp)
             pin = {v: s for v, s in sigma_S.items() if v in members}
             if not pin:
@@ -124,26 +123,23 @@ class InfluenceEvaluator:
             raise CapacityError(
                 f"component of size {len(comp)} exceeds exact_ball_cap={self.ball_cap}"
             )
-        if len(comp) <= DEFAULT_TABLE_CAP:
-            table = self._tables.get(comp)
-            if table is None:
+        part = self._parts.get(comp)
+        if part is None:
+            if len(comp) <= DEFAULT_TABLE_CAP:
                 table = JointTable(self.model, comp)
-                self._tables[comp] = table
-                self._avals[comp] = table.config_values(self.weights.a[list(comp)])
-                self._base_mean[comp] = table.mean_of(self._avals[comp])
-            vals = self._avals[comp]
-            return table.mean_of(vals, pin) - self._base_mean[comp]
-        a_slice = self.weights.a[list(comp)]
-        base = self._base_mean.get(comp)
-        if base is None:
-            base = exact.weighted_expectation(
-                PinnedModel.make(self.model, comp), a_slice, cap=self.ball_cap
-            )
-            self._base_mean[comp] = base
-        cond = exact.weighted_expectation(
-            PinnedModel.make(self.model, comp, pin), a_slice, cap=self.ball_cap
-        )
-        return cond - base
+                vals = table.config_values(self.weights.a[list(comp)])
+                part = (table, vals, table.mean_of(vals))
+            else:
+                part = (None, None, self._enumerated_mean(comp, None))
+            self._parts[comp] = part
+        table, vals, base = part
+        if table is None:
+            return self._enumerated_mean(comp, pin) - base
+        return table.mean_of(vals, pin) - base
+
+    def _enumerated_mean(self, comp: VertexSet, pin: PartialAssignment | None) -> float:
+        pm = PinnedModel.make(self.model, comp, pin)
+        return exact.weighted_expectation(pm, self.weights.a[list(comp)], cap=self.ball_cap)
 
 
 def global_influence(

@@ -13,6 +13,7 @@ import pytest
 
 from isingmax import (
     CapacityError,
+    InfluenceEvaluator,
     InfluenceQuery,
     IsingModel,
     MonteCarloFallback,
@@ -29,6 +30,7 @@ from isingmax import (
 )
 from isingmax.model import induced_submodel
 from isingmax import ball as ball_of
+from isingmax import influence as influence_module
 
 
 def enum_weighted_mean(model, a, pinning):
@@ -163,6 +165,61 @@ class TestLocalInfluence:
         m = path_model(3)
         q = InfluenceQuery(m, WeightVector.ones(3), (), {}, radius=1)
         assert local_influence(q) == 0.0
+
+
+def two_component_model():
+    """A random 7-vertex and a random 6-vertex model side by side."""
+    left = random_instance(7, 3, (-0.4, 0.4), (-0.5, 0.5), seed=5)
+    right = random_instance(6, 3, (-0.4, 0.4), (-0.5, 0.5), seed=6)
+    beta = dict(left.beta)
+    beta.update({(u + 7, v + 7): b for (u, v), b in right.beta.items()})
+    return IsingModel(n=13, beta=beta, h=np.concatenate([left.h, right.h]))
+
+
+# Interleaves radii, global queries, pins in both components, balls that
+# saturate a component, and (S, r) pairs asked again after other regions.
+MEMO_QUERIES = [
+    ((0,), {0: 1}, 1),
+    ((0,), {0: -1}, 1),
+    ((0,), {0: -1}, 3),
+    ((0,), {0: 1}, None),
+    ((0, 9), {0: 1, 9: -1}, 2),
+    ((3,), {3: 1}, None),
+    ((2,), {2: -1}, 0),
+    ((0,), {0: 1}, 1),
+    ((0, 9), {0: 1, 9: -1}, None),
+    ((9,), {9: 1}, 6),
+    ((9, 10), {9: 1, 10: 1}, 6),
+    ((0, 9), {0: -1, 9: 1}, 2),
+    ((3,), {3: -1}, None),
+    ((0,), {0: 1}, 1),
+]
+
+
+def ask(ev, S, sigma, r):
+    return ev.global_influence(S, sigma) if r is None else ev.local_influence(S, sigma, r)
+
+
+class TestEvaluatorMemo:
+    """One evaluator answers every query as a fresh one would, bit for bit."""
+
+    def check_sequence(self):
+        m = two_component_model()
+        a = random_weights(13, (-1, 1), seed=7)
+        ev = InfluenceEvaluator(m, a)
+        got = [ask(ev, S, sigma, r) for S, sigma, r in MEMO_QUERIES]
+        fresh = [ask(InfluenceEvaluator(m, a), S, sigma, r) for S, sigma, r in MEMO_QUERIES]
+        assert got == fresh
+        return got
+
+    def test_interleaved_queries_match_fresh_evaluators(self):
+        self.check_sequence()
+
+    def test_components_above_the_table_cap(self, monkeypatch):
+        tabled = self.check_sequence()
+        monkeypatch.setattr(influence_module, "DEFAULT_TABLE_CAP", 3)
+        streamed = self.check_sequence()
+        assert streamed == pytest.approx(tabled, abs=1e-12)
 
 
 class TestDecomposition:

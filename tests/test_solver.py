@@ -11,6 +11,7 @@ Independent oracles used here:
 
 import gc
 import math
+import tracemalloc
 import weakref
 from itertools import combinations, product
 
@@ -26,6 +27,7 @@ from isingmax import (
     IsingModel,
     SolverConfig,
     WeightVector,
+    ball,
     brute_force_infmax,
     budgeted_mwis,
     build_cluster_graph,
@@ -211,6 +213,22 @@ class TestBuildClusterGraph:
         H = build_cluster_graph(m, WeightVector.ones(4), cfg, r=0, evaluator=FixedScores())
         assert [c.weight for c in H.clusters] == [0.0, 1.0, 2.0, 3.0]
         assert all(all(s == 1 for s in c.best_assignment.values()) for c in H.clusters)
+
+    def test_scoring_memory_stays_within_a_few_tables(self):
+        # tables are freed once their ball is scored, so the peak is that of
+        # the largest ball's table, not of every ball's table at once
+        m = random_instance(40, 4, (-0.3, 0.3), (-0.5, 0.5), seed=3)
+        a = random_weights(40, (-1, 1), seed=4)
+        cfg = SolverConfig(k=1, epsilon=0.1)
+        largest = max(len(ball(m, (v,), 2)) for v in range(m.n))
+        assert largest == 17
+        tracemalloc.start()
+        try:
+            build_cluster_graph(m, a, cfg, r=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (1 << largest) * 8
 
 
 class TestBudgetedMwis:
