@@ -123,11 +123,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pin", required=True,
                    help="comma list of vertex:spin, e.g. '0:+1,3:-1'")
     p.add_argument("--burn-in", type=int, default=None,
-                   help="default 100 * n * log(n) steps")
+                   help="site updates before the first sample, rounded up to whole "
+                        "sweeps of n updates (default 100 * n * log(n))")
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--thin", type=int, default=None, help="default n steps between samples")
+    p.add_argument("--thin", type=int, default=None,
+                   help="site updates between samples, rounded up to whole sweeps "
+                        "of n updates (default n: one sweep)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timing", action="store_true")
+    p.add_argument("--timing", action="store_true",
+                   help="include wall time and sampler diagnostics in the report")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
 
@@ -427,10 +431,15 @@ def cmd_sample(args) -> int:
     pinning = _parse_pinning(args.pin)
     burn_in = args.burn_in if args.burn_in is not None else estimate.default_burn_in(model.n)
     thin = args.thin if args.thin is not None else max(1, model.n)
+    diagnostics = {} if args.timing else None
     value, stderr = estimate.estimate_influence(
         model, weights, tuple(sorted(pinning)), pinning,
         burn_in=burn_in, samples=args.samples, thin=thin, seed=args.seed,
+        diagnostics=diagnostics,
     )
+    result = {"influence": value, "stderr": stderr}
+    if diagnostics is not None:
+        result["diagnostics"] = diagnostics
     warnings = []
     if _low_temperature(model):
         warnings.append(
@@ -449,7 +458,7 @@ def cmd_sample(args) -> int:
                 "thin": thin, "seed": args.seed,
             },
         },
-        estimate={"influence": value, "stderr": stderr},
+        estimate=result,
         warnings=warnings,
     )
     _write_report(report, args.out, args.timing, time.perf_counter() - start)

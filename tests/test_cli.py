@@ -188,6 +188,33 @@ class TestSample:
         est = report["estimate"]
         assert abs(est["influence"] - (1 + math.tanh(0.3))) <= 4 * est["stderr"] + 0.05
 
+    def test_byte_identical_reruns(self, tmp_path):
+        model = tmp_path / "m.json"
+        run_cli("gen", "--n", 10, "--seed", 4, "--out", model)
+        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        for out in (r1, r2):
+            assert run_cli("sample", model, "--pin", "0:+1,7:-1", "--samples", 500,
+                           "--seed", 9, "--out", out) == 0
+        assert r1.read_bytes() == r2.read_bytes()
+
+    def test_diagnostics_only_under_timing(self, tmp_path):
+        model = tmp_path / "m.json"
+        run_cli("gen", "--n", 10, "--seed", 4, "--out", model)
+        plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+        args = ("sample", model, "--pin", "3:+1", "--samples", 200, "--thin", 15, "--seed", 2)
+        assert run_cli(*args, "--out", plain) == 0
+        assert run_cli(*args, "--timing", "--out", timed) == 0
+        plain_report = json.loads(plain.read_text())
+        timed_report = json.loads(timed.read_text())
+        assert list(plain_report["estimate"]) == ["influence", "stderr"]
+        assert "wall_time" not in plain_report
+        diagnostics = timed_report["estimate"].pop("diagnostics")
+        assert timed_report["estimate"] == plain_report["estimate"]
+        burn_in = plain_report["inputs"]["config"]["burn_in"]
+        assert diagnostics["sweeps"] == math.ceil(burn_in / 10) + 2 * 200
+        assert diagnostics["site_updates"] == 10 * diagnostics["sweeps"]
+        assert 0.0 < diagnostics["agree_fraction"] < 1.0
+
     def test_bad_pin_syntax(self, two_vertex_model):
         assert run_cli("sample", two_vertex_model, "--pin", "0=up") == 2
 

@@ -4,12 +4,14 @@ Statistical checks run with fixed seeds and 3-sigma bands (on thinned
 samples where autocorrelation matters), so they are deterministic.
 """
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from isingmax import (
+    ChainState,
     InfluenceQuery,
     IsingModel,
     WeightVector,
@@ -20,13 +22,32 @@ from isingmax import (
     random_instance,
     random_weights,
 )
-from isingmax.estimate import batch_means_stderr, default_burn_in, run_steps
+from isingmax.estimate import batch_means_stderr, colour_classes, default_burn_in, run_steps
 from isingmax.exact import PinnedModel
 from isingmax import log_partition
 
 
 def single_vertex(h):
     return IsingModel(n=1, beta={}, h=np.array([float(h)]))
+
+
+class TestColourClasses:
+    @pytest.mark.parametrize("model", [
+        *(random_instance(n, d, (-0.5, 0.5), (-0.5, 0.5), seed=s)
+          for n, d, s in ((12, 3, 1), (30, 4, 2), (50, 5, 3), (40, 2, 4))),
+        IsingModel(n=6, beta={}, h=np.zeros(6)),
+        single_vertex(0.3),
+    ], ids=["random-12", "random-30", "random-50", "random-40", "edgeless", "n1"])
+    def test_independent_partition_within_degree_bound(self, model):
+        classes = colour_classes(model)
+        merged = np.sort(np.concatenate(classes))
+        assert np.array_equal(merged, np.arange(model.n))
+        colour = np.empty(model.n, dtype=np.int64)
+        for c, verts in enumerate(classes):
+            assert verts.size > 0
+            colour[verts] = c
+        assert all(colour[u] != colour[v] for u, v in model.beta)
+        assert len(classes) <= model.max_degree() + 1
 
 
 class TestGlauberStep:
@@ -54,6 +75,19 @@ class TestGlauberStep:
             glauber_step(a, m)
             glauber_step(b, m)
             assert np.array_equal(a.spins, b.spins)
+
+    def test_free_row_follows_the_one_row_chain(self):
+        # Both rows read the same random numbers, so the free row of a
+        # coupled pair retraces a one-row free chain with the same start.
+        m = random_instance(10, 3, (-0.4, 0.4), (-0.5, 0.5), seed=3)
+        alone = make_chain(m, {}, seed=5)
+        start = alone.spins.copy()
+        pair = ChainState(np.stack([start, start]), {4: 1, 7: -1}, copy.deepcopy(alone.rng))
+        run_steps(alone, m, 400)
+        run_steps(pair, m, 400)
+        assert np.array_equal(pair.spins[1], alone.spins)
+        assert pair.spins[0, 4] == 1 and pair.spins[0, 7] == -1
+        assert pair.steps_taken == alone.steps_taken == 400
 
     def test_isolated_vertex_symmetric(self):
         m = single_vertex(0.0)
@@ -133,6 +167,54 @@ class TestEstimateInfluence:
             burn_in=default_burn_in(12), samples=10000, thin=12, seed=9,
         )
         assert abs(got - exact_value) <= 3 * err
+
+    def test_pins_hold_for_later_colour_classes(self):
+        # Path 0-1-3-2-4 colours as {0, 2}, {1, 4}, {3}: the pinned vertex 1
+        # sits in the middle class and vertex 3, updated after it in every
+        # sweep, must read it pinned.
+        m = IsingModel(n=5, beta={(0, 1): 0.9, (1, 3): 0.9, (2, 3): 0.9, (2, 4): 0.9},
+                       h=np.array([0.1, -0.2, 0.0, 0.2, -0.1]))
+        classes = [set(c.tolist()) for c in colour_classes(m)]
+        assert classes == [{0, 2}, {1, 4}, {3}]
+        a = WeightVector.ones(5)
+        sigma = {1: -1}
+        exact_value = global_influence(InfluenceQuery(m, a, (1,), sigma))
+        got, err = estimate_influence(
+            m, a, (1,), sigma, burn_in=500, samples=4000, thin=5, seed=21,
+        )
+        assert abs(got - exact_value) <= 4 * err
+
+    def test_error_bars_calibrated_over_many_pinnings(self):
+        zs = []
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            n = 8 + seed % 5
+            m = random_instance(n, 3, (-0.35, 0.35), (-0.5, 0.5), seed=seed)
+            a = random_weights(n, (-1, 1), seed=seed + 100)
+            S = tuple(sorted(int(v) for v in rng.choice(n, size=1 + seed % 3, replace=False)))
+            sigma = {v: int(s) for v, s in zip(S, rng.choice((-1, 1), size=len(S)))}
+            exact_value = global_influence(InfluenceQuery(m, a, S, sigma))
+            got, err = estimate_influence(
+                m, a, S, sigma,
+                burn_in=default_burn_in(n), samples=2000, thin=n, seed=seed,
+            )
+            zs.append((got - exact_value) / err)
+        assert max(abs(z) for z in zs) <= 4
+        assert sum(z * z for z in zs) / len(zs) <= 2
+
+    def test_diagnostics_count_sweeps_and_agreement(self):
+        m = random_instance(10, 3, (-0.3, 0.3), (-0.3, 0.3), seed=3)
+        a = random_weights(10, (-1, 1), seed=4)
+        diagnostics = {}
+        plain = estimate_influence(m, a, (2,), {2: 1}, burn_in=25, samples=50,
+                                   thin=11, seed=5)
+        traced = estimate_influence(m, a, (2,), {2: 1}, burn_in=25, samples=50,
+                                    thin=11, seed=5, diagnostics=diagnostics)
+        assert traced == plain
+        # 25 updates round up to 3 sweeps of 10, and 11 to 2 per sample
+        assert diagnostics["sweeps"] == 3 + 2 * 50
+        assert diagnostics["site_updates"] == 10 * diagnostics["sweeps"]
+        assert 0.0 < diagnostics["agree_fraction"] < 1.0
 
     def test_input_validation(self):
         m = single_vertex(0.0)
