@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import estimate, graph, reduction, solver
@@ -36,6 +35,9 @@ from .model import (
     serialize_model,
 )
 
+# Read by nothing in the package: `compare` runs its batch in one thread,
+# because the work holds the interpreter lock.  The name stays because the
+# benchmark's workloads set this variable before every op.
 THREADS_ENV = "ISINGMAX_THREADS"
 
 CSV_COLUMNS = [
@@ -398,18 +400,10 @@ def cmd_compare(args) -> int:
     if not jobs:
         raise ModelFormatError("nothing to compare: pass model files or --gen N")
 
-    threads = int(os.environ.get(THREADS_ENV, "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda j: _compare_one(j[0], j[1], j[2], k, epsilon, radius, cap, args.timing),
-                jobs,
-            ))
-    else:
-        rows = [
-            _compare_one(name, m, w, k, epsilon, radius, cap, args.timing)
-            for name, m, w in jobs
-        ]
+    rows = [
+        _compare_one(name, m, w, k, epsilon, radius, cap, args.timing)
+        for name, m, w in jobs
+    ]
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")

@@ -3,34 +3,50 @@
 Everything here works on the unweighted graph underlying a model: balls,
 adjacency in the distance-power graph, its connected components over a
 vertex subset, and enumeration of the small power-connected clusters that
-seed the solver.  All distances are exact integers from breadth-first
-traversal; the power graph is never materialized.
+seed the solver.  All distances are exact integers from one level-by-level
+breadth-first traversal, `_bfs`; a query with a distance limit visits only
+the vertices within that limit, so its cost does not grow with the model.
+The power graph is never materialized.
 """
 
-from collections import deque
+from operator import index
 
 from .errors import ModelFormatError
 from .model import IsingModel, VertexSet, as_vertex_set
 
 
-def bfs_distances(model: IsingModel, sources, limit: int | None = None) -> list[int]:
-    """Multi-source BFS distances; -1 marks vertices beyond `limit` or unreachable."""
-    dist = [-1] * model.n
-    queue: deque[int] = deque()
+def _bfs(model: IsingModel, sources, limit: int | None = None) -> dict[int, int]:
+    """Distance of every vertex within `limit` of `sources`, in BFS order.
+
+    Vertices beyond `limit` (or unreachable) are absent; with no limit the
+    traversal covers the sources' components.  Only reached vertices are
+    touched.
+    """
+    dist: dict[int, int] = {}
     for s in sources:
         if not (0 <= s < model.n):
             raise ModelFormatError(f"unknown vertex {s}")
-        if dist[s] != 0:
-            dist[s] = 0
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        if limit is not None and dist[u] >= limit:
-            continue
-        for w in model.adjacency[u]:
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+        dist[index(s)] = 0  # keys are plain ints, also for NumPy integer ids
+    adjacency = model.adjacency
+    frontier = list(dist)
+    d = 0
+    while frontier and (limit is None or d < limit):
+        d += 1
+        nxt = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def bfs_distances(model: IsingModel, sources, limit: int | None = None) -> list[int]:
+    """Multi-source BFS distances; -1 marks vertices beyond `limit` or unreachable."""
+    dist = [-1] * model.n
+    for v, d in _bfs(model, sources, limit).items():
+        dist[v] = d
     return dist
 
 
@@ -41,40 +57,23 @@ def ball(model: IsingModel, S, r: int) -> VertexSet:
         raise ModelFormatError("ball of the empty set is undefined")
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    dist = bfs_distances(model, members, limit=r)
-    return tuple(v for v in range(model.n) if dist[v] != -1)
+    return tuple(sorted(_bfs(model, members, r)))
 
 
 def set_distance(model: IsingModel, T1, T2, limit: int | None = None) -> int:
     """Minimum graph distance between two vertex sets; -1 if beyond `limit`.
 
-    BFS runs from the smaller set and stops as soon as the other set is hit.
+    BFS runs from the smaller set, up to `limit`; the answer is the smallest
+    distance it reached on the other set.
     """
     A = as_vertex_set(T1)
     B = as_vertex_set(T2)
     if len(B) < len(A):
         A, B = B, A
-    targets = set(B)
-    if targets & set(A):
+    if not set(A).isdisjoint(B):
         return 0
-    dist = [-1] * model.n
-    queue: deque[int] = deque()
-    for s in A:
-        if not (0 <= s < model.n):
-            raise ModelFormatError(f"unknown vertex {s}")
-        dist[s] = 0
-        queue.append(s)
-    while queue:
-        u = queue.popleft()
-        if limit is not None and dist[u] >= limit:
-            continue
-        for w in model.adjacency[u]:
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                if w in targets:
-                    return dist[w]
-                queue.append(w)
-    return -1
+    dist = _bfs(model, A, limit)
+    return min((dist[v] for v in B if v in dist), default=-1)
 
 
 def power_adjacent(model: IsingModel, T1, T2, r: int) -> bool:
@@ -107,9 +106,9 @@ def components_in_power_graph(model: IsingModel, S, r: int) -> list[VertexSet]:
         return v
 
     for v in members:
-        dist = bfs_distances(model, [v], limit=reach)
+        dist = _bfs(model, (v,), reach)
         for w in members:
-            if w > v and dist[w] != -1:
+            if w > v and w in dist:
                 rv, rw = find(v), find(w)
                 if rv != rw:
                     parent[rw] = rv
@@ -147,32 +146,13 @@ def induced_components(model: IsingModel, subset) -> list[VertexSet]:
 
 def connected_components(model: IsingModel) -> list[VertexSet]:
     """Connected components of the model graph, sorted by smallest member."""
-    seen = [False] * model.n
-    comps: list[VertexSet] = []
-    for s in range(model.n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in model.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    return induced_components(model, range(model.n))
 
 
 def graph_diameter(model: IsingModel) -> int:
     """Largest finite distance in the graph (max over components)."""
-    best = 0
-    for v in range(model.n):
-        dist = bfs_distances(model, [v])
-        best = max(best, max(d for d in dist if d >= 0))
-    return best
+    # `_bfs` reaches vertices in order of distance: the last one is the farthest.
+    return max(next(reversed(_bfs(model, (v,)).values())) for v in range(model.n))
 
 
 def canonical_cluster_key(T: VertexSet) -> tuple[int, VertexSet]:
@@ -198,8 +178,7 @@ def enumerate_connected_clusters(model: IsingModel, k: int, r: int) -> list[Vert
     def neighbors_of(v: int) -> frozenset[int]:
         cached = pneighbors.get(v)
         if cached is None:
-            dist = bfs_distances(model, [v], limit=reach)
-            cached = frozenset(w for w in range(model.n) if w != v and dist[w] != -1)
+            cached = frozenset(w for w in _bfs(model, (v,), reach) if w != v)
             pneighbors[v] = cached
         return cached
 

@@ -101,17 +101,6 @@ class IsingModel:
     def max_degree(self) -> int:
         return max((len(ns) for ns in self.adjacency), default=0)
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edges as parallel arrays (u, v, beta) in canonical order."""
-        if not self.beta:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z.copy(), np.zeros(0, dtype=np.float64)
-        keys = list(self.beta.keys())
-        eu = np.array([k[0] for k in keys], dtype=np.int64)
-        ev = np.array([k[1] for k in keys], dtype=np.int64)
-        eb = np.array([self.beta[k] for k in keys], dtype=np.float64)
-        return eu, ev, eb
-
 
 @dataclass(frozen=True)
 class WeightVector:

@@ -5,6 +5,7 @@ the power graph from a test-local Floyd-Warshall distance matrix and
 checks connectivity with a test-local union-find.
 """
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +16,7 @@ from isingmax import (
     ModelFormatError,
     ball,
     components_in_power_graph,
+    connected_components,
     enumerate_connected_clusters,
     graph_diameter,
     power_adjacent,
@@ -46,6 +48,21 @@ def all_pairs_distances(model):
     return d
 
 
+def bfs_view(d):
+    """The distance matrix with -1 for unreachable pairs, as the BFS reports them."""
+    return [[x if x < 10**9 else -1 for x in row] for row in d]
+
+
+def split_instances():
+    """Degree-2 random graphs, each with an isolated vertex and two or more components."""
+    models = [random_instance(30, 2, (-0.2, 0.2), (0, 0), seed) for seed in range(6)]
+    for m in models:
+        d = bfs_view(all_pairs_distances(m))
+        assert any(row.count(-1) == m.n - 1 for row in d)
+        assert len({tuple(x >= 0 for x in row) for row in d}) >= 2
+    return models
+
+
 class TestBall:
     def test_radius_zero_is_the_set(self):
         m = path_model(6)
@@ -75,6 +92,17 @@ class TestBall:
             S = sorted(rng.choice(30, size=2, replace=False).tolist())
             for r in range(4):
                 assert len(ball(m, S, r)) <= len(S) * 3 ** (r + 1)
+
+    def test_matches_distance_matrix(self):
+        for seed, m in enumerate(split_instances()):
+            d = bfs_view(all_pairs_distances(m))
+            rng = np.random.default_rng(300 + seed)
+            sets = [[v] for v in range(m.n)]
+            sets += [rng.choice(m.n, size=size, replace=False).tolist() for size in (2, 3) * 10]
+            for S in sets:
+                for r in range(5):
+                    want = tuple(v for v in range(m.n) if any(0 <= d[s][v] <= r for s in S))
+                    assert ball(m, S, r) == want
 
 
 class TestPowerAdjacent:
@@ -194,12 +222,25 @@ class TestClusterEnumeration:
 def test_bfs_and_set_distance_consistency():
     m = random_instance(12, 3, (-0.2, 0.2), (0, 0), seed=4)
     d = all_pairs_distances(m)
-    for u in range(12):
-        dist = bfs_distances(m, [u])
-        for v in range(12):
-            want = d[u][v] if d[u][v] < 10**9 else -1
-            assert dist[v] == want
     assert set_distance(m, [0], [1]) == (d[0][1] if d[0][1] < 10**9 else -1)
+    for i, m in enumerate([m, *split_instances()]):
+        d = bfs_view(all_pairs_distances(m))
+        rng = np.random.default_rng(400 + i)
+        sources = [[u] for u in range(m.n)]
+        sources += [rng.choice(m.n, size=3, replace=False).tolist() for _ in range(10)]
+        for S in sources:
+            near = [min((d[s][v] for s in S if d[s][v] >= 0), default=-1) for v in range(m.n)]
+            assert bfs_distances(m, S) == near
+            for limit in range(4):
+                want = [x if x <= limit else -1 for x in near]
+                assert bfs_distances(m, S, limit=limit) == want
+        for _ in range(30):
+            T1 = rng.choice(m.n, size=2, replace=False).tolist()
+            T2 = rng.choice(m.n, size=3, replace=False).tolist()
+            want = min((d[a][b] for a in T1 for b in T2 if d[a][b] >= 0), default=-1)
+            assert set_distance(m, T1, T2) == want
+            for limit in range(4):
+                assert set_distance(m, T1, T2, limit) == (want if want <= limit else -1)
 
 
 def test_diameter_and_induced_components():
@@ -209,3 +250,25 @@ def test_diameter_and_induced_components():
     assert graph_diameter(two) == 1
     assert induced_components(two, [0, 1, 2, 3]) == [(0, 1), (2, 3)]
     assert induced_components(two, [0, 2, 3]) == [(0,), (2, 3)]
+    for m in split_instances():
+        d = bfs_view(all_pairs_distances(m))
+        assert graph_diameter(m) == max(max(row) for row in d)
+        comps = sorted({tuple(v for v in range(m.n) if d[u][v] >= 0) for u in range(m.n)})
+        assert connected_components(m) == comps
+        assert connected_components(m) == induced_components(m, range(m.n))
+
+
+def test_bounded_queries_stay_local():
+    """A ball or a power adjacency allocates for the vertices it reaches, not for n."""
+    n = 100_000
+    m = IsingModel(n=n, beta={(i, i + 1): 0.1 for i in range(5)}, h=np.zeros(n))
+    for query, want in ((lambda: ball(m, (0,), 2), (0, 1, 2)),
+                        (lambda: power_adjacent(m, [0], [2], 1), True)):
+        tracemalloc.start()
+        try:
+            got = query()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 64 * 1024
