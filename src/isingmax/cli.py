@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import estimate, graph, reduction, solver
+from . import estimate, exact, reduction, solver
 from .errors import CapacityError, ConvergenceError, ModelFormatError
 from .model import (
     FamilyParams,
@@ -82,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="decay constant for the radius formula (default 1.0)")
     p.add_argument("--radius", type=int, default=None, help="override the formula radius")
     p.add_argument("--exact-ball-cap", type=int, default=None,
-                   help="max free vertices per exact enumeration (default 25)")
+                   help="max free vertices per exact enumeration "
+                        f"(default {exact.DEFAULT_EXACT_BALL_CAP})")
     p.add_argument("--best-effort", action="store_true",
                    help="shrink the radius on capacity overrun instead of failing")
     p.add_argument("--config", default=None, help="JSON config file (flags win)")
@@ -145,7 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--tolerance", type=float, default=0.01)
     p.add_argument("--solver", choices=("oracle", "local"), default="oracle")
-    p.add_argument("--timing", action="store_true")
+    p.add_argument("--timing", action="store_true",
+                   help="include wall time and the search's work counts in the report")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_estimate_marginal)
 
@@ -292,7 +294,8 @@ def cmd_solve(args) -> int:
     delta = _effective(args.delta, config, "delta", None)
     decay_constant = float(_effective(args.decay_constant, config, "decay_constant", 1.0))
     radius = _effective(args.radius, config, "radius", None)
-    cap = int(_effective(args.exact_ball_cap, config, "exact_ball_cap", 25))
+    cap = int(_effective(args.exact_ball_cap, config, "exact_ball_cap",
+                         exact.DEFAULT_EXACT_BALL_CAP))
     if radius is None and delta is None:
         raise ModelFormatError("either --radius or --delta is required to fix the radius")
     cfg = SolverConfig(
@@ -354,7 +357,9 @@ def cmd_oracle(args) -> int:
 
 def _compare_one(instance_id, model, weights, k, epsilon, radius, cap, timing):
     start = time.perf_counter()
-    r = graph.graph_diameter(model) if radius == "diameter" else int(radius)
+    # The solver caps the radius at the diameter, which is at most n - 1, so
+    # requesting n - 1 runs at the diameter without computing it twice.
+    r = model.n - 1 if radius == "diameter" else int(radius)
     cfg = SolverConfig(k=k, epsilon=epsilon, radius_override=r, exact_ball_cap=cap)
     sol = solver.solve_infmax(model, weights, cfg)
     if sol.global_value is None:
@@ -382,7 +387,8 @@ def cmd_compare(args) -> int:
     k = int(_effective(args.k, config, "k", 1))
     epsilon = float(_effective(args.epsilon, config, "epsilon", 0.1))
     radius = _effective(args.radius, config, "radius", "diameter")
-    cap = int(_effective(args.exact_ball_cap, config, "exact_ball_cap", 25))
+    cap = int(_effective(args.exact_ball_cap, config, "exact_ball_cap",
+                         exact.DEFAULT_EXACT_BALL_CAP))
 
     jobs = []
     for path in args.models:
@@ -465,12 +471,27 @@ def cmd_estimate_marginal(args) -> int:
     if not (0 <= args.vertex < model.n):
         raise ModelFormatError(f"unknown vertex {args.vertex}")
     if args.solver == "oracle":
+        local = None
         run = reduction.oracle_solver
     else:
-        run = reduction.make_localization_solver()
+        # One solver for the whole search: it keeps the first probe's cluster
+        # graph and re-scores only the k probe singletons on later probes.
+        local = run = reduction.make_localization_solver()
     search = reduction.binary_search_marginal(
         model, args.vertex, args.k, run, args.epsilon, args.tolerance
     )
+    result = {
+        "expectation": search.value,
+        "probability_plus": search.probability,
+        "probes": [[t, d.name] for t, d in search.probes],
+    }
+    if args.timing:
+        # The oracle builds no cluster graph.
+        result["diagnostics"] = {
+            "probes": len(search.probes),
+            "cluster_graphs_built": local.cluster_graphs_built if local else 0,
+            "clusters_scored": local.clusters_scored if local else 0,
+        }
     report = RunReport(
         command="estimate-marginal",
         inputs={
@@ -482,11 +503,7 @@ def cmd_estimate_marginal(args) -> int:
                 "tolerance": args.tolerance, "solver": args.solver,
             },
         },
-        estimate={
-            "expectation": search.value,
-            "probability_plus": search.probability,
-            "probes": [[t, d.name] for t, d in search.probes],
-        },
+        estimate=result,
     )
     _write_report(report, args.out, args.timing, time.perf_counter() - start)
     return 0

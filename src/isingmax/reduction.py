@@ -11,6 +11,14 @@ plus the search tolerance.
 
 The search operates on t in (-1, 1) directly and converts to a field only
 when building a gadget, clamping |t| at 1 - 1e-9 to keep arctanh finite.
+
+Successive gadgets differ only in the field x of the k isolated vertices,
+and no other cluster's ball contains an isolated vertex, so the
+localization solver (`make_localization_solver`) keeps the cluster graph
+it built for the first probe, with every base cluster's score.  A later
+probe re-scores just the singletons of the isolated vertices whose field
+changed and reruns the budgeted MWIS: one cluster graph and one diameter
+per search, and k clusters scored per later probe.
 """
 
 import math
@@ -20,10 +28,15 @@ from typing import Callable
 
 import numpy as np
 
+from . import solver
 from .errors import ConvergenceError, ModelFormatError
+from .exact import DEFAULT_EXACT_BALL_CAP
 from .graph import graph_diameter
+from .influence import InfluenceEvaluator
 from .model import IsingModel, SolverConfig, VertexSet, WeightVector
-from .solver import Solution, brute_force_infmax, solve_infmax
+# `solve_infmax` is not called here; it stays importable from this module
+# next to the other solver entry points.
+from .solver import Solution, brute_force_infmax, solve_infmax  # noqa: F401
 
 # A solver callable: (model, weights, budget, epsilon) -> Solution.
 InfMaxSolver = Callable[[IsingModel, WeightVector, int, float], Solution]
@@ -118,29 +131,104 @@ def oracle_solver(model: IsingModel, weights: WeightVector, k: int, epsilon: flo
     return brute_force_infmax(model, weights, k)
 
 
-def make_localization_solver(
-    decay_constant: float = 1.0,
-    radius: int | None = None,
-    exact_ball_cap: int = 25,
-) -> InfMaxSolver:
-    """Adapter running the localization solver on each probe gadget.
+class LocalizationSolver:
+    """The localization solver as an `InfMaxSolver` that keeps its last graph.
 
-    If no radius is given, each call uses the gadget's graph diameter,
-    which makes the local objective coincide with the global one.
+    A call builds the scored cluster graph of its (model, weights) and
+    keeps it, with the model, the weights, k and epsilon it was built for.
+    The next call reuses it when only the fields of degree-0 vertices
+    differ from the kept model: no other cluster's ball contains such a
+    vertex v, and its only cluster is its singleton (v,), which the
+    canonical cluster order puts at index v.  Those singletons are
+    re-scored through an `InfluenceEvaluator` of the new model, so their
+    scores have the same bits as in a fresh build, and the budgeted MWIS
+    runs again; the answer equals `solve_infmax` on the new model.  Any
+    other call builds and keeps a new graph.  Only one graph is kept.
+
+    ``cluster_graphs_built`` and ``clusters_scored`` count the work done
+    since construction.
     """
 
-    def run(model: IsingModel, weights: WeightVector, k: int, epsilon: float) -> Solution:
-        r = radius if radius is not None else graph_diameter(model)
+    def __init__(self, decay_constant: float, radius: int | None, exact_ball_cap: int):
+        self.decay_constant = decay_constant
+        self.radius = radius
+        self.exact_ball_cap = exact_ball_cap
+        self.cluster_graphs_built = 0
+        self.clusters_scored = 0
+        self._model: IsingModel | None = None
+        self._weights: WeightVector | None = None
+        self._epsilon: float | None = None
+        self._loc: solver.Localization | None = None
+
+    def __call__(
+        self, model: IsingModel, weights: WeightVector, k: int, epsilon: float
+    ) -> Solution:
+        changed = self._changed_isolated(model, weights, k, epsilon)
+        if changed is None:
+            self._build(model, weights, k, epsilon)
+        elif changed:
+            self._rescore(model, weights, changed)
+        return solver.localized_solution(self._loc, compute_global=False)
+
+    def _changed_isolated(self, model, weights, k, epsilon) -> list[int] | None:
+        """The vertices whose field alone changed, or None if the graph cannot be kept."""
+        last = self._model
+        if (
+            last is None
+            or model.n != last.n
+            or k != self._loc.k
+            or epsilon != self._epsilon
+            or model.beta != last.beta
+            or weights != self._weights
+        ):
+            return None
+        changed = [int(v) for v in np.flatnonzero(model.h != last.h)]
+        if any(model.adjacency[v] for v in changed):
+            return None
+        return changed
+
+    def _build(self, model, weights, k, epsilon) -> None:
+        self._model = None  # a failed build keeps nothing
+        diameter = graph_diameter(model)
         cfg = SolverConfig(
             k=k,
             epsilon=epsilon,
-            decay_constant=decay_constant,
-            radius_override=r,
-            exact_ball_cap=exact_ball_cap,
+            decay_constant=self.decay_constant,
+            radius_override=self.radius if self.radius is not None else diameter,
+            exact_ball_cap=self.exact_ball_cap,
         )
-        return solve_infmax(model, weights, cfg, compute_global=False)
+        self._loc = solver.localize(model, weights, cfg, diameter)
+        self._model, self._weights, self._epsilon = model, weights, epsilon
+        self.cluster_graphs_built += 1
+        self.clusters_scored += self._loc.graph.n_vertices
 
-    return run
+    def _rescore(self, model, weights, changed: list[int]) -> None:
+        loc = self._loc
+        evaluator = InfluenceEvaluator(model, weights, ball_cap=self.exact_ball_cap)
+        for v in changed:
+            loc.graph.clusters[v] = solver.score_cluster(
+                model, evaluator, (v,), loc.graph.radius, self.exact_ball_cap
+            )
+        loc.evaluator = evaluator
+        self._model = model
+        self.clusters_scored += len(changed)
+
+
+def make_localization_solver(
+    decay_constant: float = 1.0,
+    radius: int | None = None,
+    exact_ball_cap: int = DEFAULT_EXACT_BALL_CAP,
+) -> LocalizationSolver:
+    """Adapter running the localization solver on each probe gadget.
+
+    If no radius is given, each call uses the gadget's graph diameter,
+    which makes the local objective coincide with the global one.  The
+    returned solver keeps the cluster graph of the gadget it last solved;
+    a probe that changes only the isolated vertices' field x re-scores
+    just their k singleton clusters (see `LocalizationSolver`).  Use one
+    solver per search: its counters describe the calls it served.
+    """
+    return LocalizationSolver(decay_constant, radius, exact_ball_cap)
 
 
 def binary_search_marginal(

@@ -118,6 +118,36 @@ def select_radius(cfg: SolverConfig, params: FamilyParams | None = None) -> int:
     return radius_schedule(cfg, params)[1]
 
 
+def score_cluster(
+    model: IsingModel,
+    evaluator: InfluenceEvaluator,
+    T: VertexSet,
+    r: int,
+    ball_cap: int,
+) -> Cluster:
+    """Score cluster T by its best local influence at radius r, exactly.
+
+    Assignments are enumerated lexicographically (+1 before -1 per vertex,
+    smaller ids first), the local influence at radius r is computed on the
+    induced ball, and the first maximizer is kept, so ties resolve
+    deterministically.  A ball larger than ``ball_cap`` is refused.
+    """
+    ball_T = graph.ball(model, T, r)
+    if len(ball_T) > ball_cap:
+        raise CapacityError(
+            f"cluster {T}: |B(T,{r})| = {len(ball_T)} exceeds exact_ball_cap={ball_cap}"
+        )
+    best_value = -math.inf
+    best_sigma: PartialAssignment = {}
+    for spins in product((1, -1), repeat=len(T)):
+        sigma = dict(zip(T, spins))
+        value = evaluator.local_influence(T, sigma, r)
+        if value > best_value:
+            best_value = value
+            best_sigma = sigma
+    return Cluster(T=T, cost=len(T), weight=best_value, best_assignment=best_sigma)
+
+
 def build_cluster_graph(
     model: IsingModel,
     weights: WeightVector,
@@ -127,10 +157,7 @@ def build_cluster_graph(
 ) -> ClusterGraph:
     """Enumerate clusters, score their best local influence, wire adjacency.
 
-    Every cluster T is scored exactly: assignments are enumerated
-    lexicographically (+1 before -1 per vertex, smaller ids first), the
-    local influence at radius r is computed on the induced ball, and the
-    first maximizer is kept, so ties resolve deterministically.
+    Every cluster is scored exactly by `score_cluster`.
 
     Clusters T_i and T_j are adjacent when T_j meets the (2r+1)-ball of T_i,
     i.e. when they overlap or lie within distance 2r+1 of each other.  An
@@ -152,21 +179,7 @@ def build_cluster_graph(
     neighbors: list[set[int]] = []
     adjacency: list[tuple[int, int]] = []
     for i, T in enumerate(subsets):
-        ball_T = graph.ball(model, T, r)
-        if len(ball_T) > cfg.exact_ball_cap:
-            raise CapacityError(
-                f"cluster {T}: |B(T,{r})| = {len(ball_T)} exceeds "
-                f"exact_ball_cap={cfg.exact_ball_cap}"
-            )
-        best_value = -math.inf
-        best_sigma: PartialAssignment = {}
-        for spins in product((1, -1), repeat=len(T)):
-            sigma = dict(zip(T, spins))
-            value = evaluator.local_influence(T, sigma, r)
-            if value > best_value:
-                best_value = value
-                best_sigma = sigma
-        clusters.append(Cluster(T=T, cost=len(T), weight=best_value, best_assignment=best_sigma))
+        clusters.append(score_cluster(model, evaluator, T, r, cfg.exact_ball_cap))
         near: set[int] = set()
         for v in graph.ball(model, T, 2 * r + 1):
             near.update(containing[v])
@@ -262,6 +275,44 @@ def solve_infmax(
     largest feasible radius in the message, unless ``best_effort`` is set,
     in which case it shrinks the radius and flags the output as heuristic.
     """
+    diameter = graph.graph_diameter(model)
+    loc = localize(model, weights, cfg, diameter, params, best_effort, max_budget)
+    return localized_solution(loc, compute_global)
+
+
+@dataclass
+class Localization:
+    """A scored cluster graph and the run facts its `Solution` reports.
+
+    `solve_infmax` is `localize` followed by `localized_solution`.  A caller
+    may replace scores in ``graph.clusters`` (and ``evaluator`` with one
+    for the model they now describe) and solve again without rebuilding.
+    """
+
+    graph: ClusterGraph
+    evaluator: InfluenceEvaluator
+    k: int
+    requested_radius: int
+    diameter: int
+    best_effort: bool
+    warnings: list[str]
+
+
+def localize(
+    model: IsingModel,
+    weights: WeightVector,
+    cfg: SolverConfig,
+    diameter: int,
+    params: FamilyParams | None = None,
+    best_effort: bool = False,
+    max_budget: int = DEFAULT_MAX_BUDGET,
+) -> Localization:
+    """Check the inputs, fix the radius and build the scored cluster graph.
+
+    ``diameter`` must be `graph.graph_diameter(model)`; the working radius
+    is the selected one capped at it.  The other arguments are those of
+    `solve_infmax`.
+    """
     check_weights(model, weights)
     if cfg.k > max_budget:
         raise ValueError(
@@ -278,8 +329,7 @@ def solve_infmax(
         warnings.append("weights are not 1-bounded; the guarantee assumes max |a_v| <= 1")
 
     requested_r = select_radius(cfg, params)
-    diam = graph.graph_diameter(model)
-    r = min(requested_r, diam)
+    r = min(requested_r, diameter)
 
     evaluator = InfluenceEvaluator(model, weights, ball_cap=cfg.exact_ball_cap)
     H = None
@@ -297,13 +347,30 @@ def solve_infmax(
             if r == 0:
                 raise
             r -= 1
-    if best_effort and r < min(requested_r, diam):
+    if best_effort and r < min(requested_r, diameter):
         warnings.append(
-            f"best-effort mode reduced the radius from {min(requested_r, diam)} to {r}; "
+            f"best-effort mode reduced the radius from {min(requested_r, diameter)} to {r}; "
             "the output is heuristic and the guarantee is void"
         )
+    return Localization(
+        graph=H,
+        evaluator=evaluator,
+        k=cfg.k,
+        requested_radius=requested_r,
+        diameter=diameter,
+        best_effort=best_effort,
+        warnings=warnings,
+    )
 
-    chosen = budgeted_mwis(H, cfg.k)
+
+def localized_solution(loc: Localization, compute_global: bool = True) -> Solution:
+    """Solve the budgeted MWIS on ``loc.graph`` and combine the chosen clusters.
+
+    The global value is computed only if ``compute_global`` is set; a
+    component beyond the exact capacity leaves it None with a warning.
+    """
+    H = loc.graph
+    chosen = budgeted_mwis(H, loc.k)
     S_hat: list[int] = []
     sigma_hat: PartialAssignment = {}
     local_value = 0.0
@@ -314,21 +381,22 @@ def solve_infmax(
         local_value += c.weight
     S = tuple(sorted(S_hat))
 
+    warnings = list(loc.warnings)
     global_value: float | None = None
     if compute_global:
         try:
-            global_value = evaluator.global_influence(S, sigma_hat) if S else 0.0
+            global_value = loc.evaluator.global_influence(S, sigma_hat) if S else 0.0
         except CapacityError:
             warnings.append("global value not computed: component exceeds exact capacity")
 
     diagnostics = {
-        "requested_radius": requested_r,
-        "effective_radius": r,
-        "graph_diameter": diam,
+        "requested_radius": loc.requested_radius,
+        "effective_radius": H.radius,
+        "graph_diameter": loc.diameter,
         "cluster_count": H.n_vertices,
         "cluster_graph_max_degree": H.max_degree,
         "chosen_clusters": chosen,
-        "best_effort": best_effort,
+        "best_effort": loc.best_effort,
         "warnings": warnings,
     }
     return Solution(
@@ -336,7 +404,7 @@ def solve_infmax(
         sigma_hat=sigma_hat,
         local_value=local_value,
         global_value=global_value,
-        radius_used=r,
+        radius_used=H.radius,
         diagnostics=diagnostics,
     )
 

@@ -247,6 +247,31 @@ class TestEstimateMarginal:
     def test_unknown_vertex_exits_2(self, two_vertex_model):
         assert run_cli("estimate-marginal", two_vertex_model, "--vertex", 9) == 2
 
+    def test_local_reports_rerun_identically_with_counts_only_under_timing(self, tmp_path):
+        from isingmax import build_gadget, enumerate_connected_clusters, graph_diameter
+
+        model = tmp_path / "m.json"
+        run_cli("gen", "--n", 10, "--seed", 3, "--out", model)
+        args = ("estimate-marginal", model, "--vertex", 2, "--k", 2, "--solver", "local",
+                "--tolerance", 0.05)
+        a, b, t = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "t.json"
+        assert run_cli(*args, "--out", a) == 0
+        assert run_cli(*args, "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+        est = json.loads(a.read_text())["estimate"]
+        assert list(est) == ["expectation", "probability_plus", "probes"]
+
+        assert run_cli(*args, "--timing", "--out", t) == 0
+        timed = json.loads(t.read_text())["estimate"]
+        assert timed["probes"] == est["probes"]
+        diag = timed["diagnostics"]
+        probes = len(est["probes"])
+        gadget = build_gadget(load_model(model)[0], 2, 2, 0.0).augmented
+        clusters = len(enumerate_connected_clusters(gadget, 2, graph_diameter(gadget)))
+        # one graph per search; each later probe re-scores its k singletons
+        assert diag == {"probes": probes, "cluster_graphs_built": 1,
+                        "clusters_scored": clusters + 2 * (probes - 1)}
+
 
 def test_nonconvergence_exits_4(tmp_path, monkeypatch, capsys):
     from isingmax.errors import ConvergenceError

@@ -19,15 +19,19 @@ from isingmax import (
     InfluenceQuery,
     IsingModel,
     Solution,
+    SolverConfig,
     WeightVector,
     build_gadget,
     classify_optimum,
     estimate_marginal,
     expectation,
     global_influence,
+    graph_diameter,
     make_localization_solver,
     oracle_solver,
     random_instance,
+    random_weights,
+    solve_infmax,
     validate_family,
 )
 from isingmax.exact import PinnedModel
@@ -209,6 +213,63 @@ class TestEstimateMarginal:
         # always converges, so instead check the iteration cap directly
         search = binary_search_marginal(single_vertex(0.0), 0, 1, flapping, 0.01, 0.001)
         assert len(search.probes) <= math.ceil(math.log2(2 / 0.001))
+
+
+def fresh_solve(model, weights, k, epsilon=0.01):
+    cfg = SolverConfig(k=k, epsilon=epsilon, radius_override=graph_diameter(model))
+    return solve_infmax(model, weights, cfg, compute_global=False)
+
+
+def assert_same_solution(got, want):
+    assert got.S_hat == want.S_hat
+    assert got.sigma_hat == want.sigma_hat
+    assert got.local_value.hex() == want.local_value.hex()
+    assert got.global_value is None and want.global_value is None
+    assert got.radius_used == want.radius_used
+    assert got.diagnostics == want.diagnostics
+
+
+def with_field(model, v, h):
+    fields = model.h.copy()
+    fields[v] = h
+    return IsingModel(n=model.n, beta=model.beta, h=fields)
+
+
+class TestLocalizationSolverReuse:
+    def test_probes_match_fresh_solves_from_one_graph(self):
+        # gadgets on both sides of the crossing tanh x = E[X_v], one solver each
+        for n, seed in ((6, 1), (8, 2), (10, 3)):
+            m = random_instance(n, 3, (-0.4, 0.4), (-0.5, 0.5), seed)
+            truth = expectation(PinnedModel.make(m), 0)
+            for k in (1, 2):
+                run = make_localization_solver()
+                directions = []
+                for t in (truth - 0.3, truth - 0.05, truth + 0.05, truth + 0.3):
+                    g = build_gadget(m, 0, k, math.atanh(max(-0.99, min(0.99, t))))
+                    got = run(g.augmented, g.weights, k, 0.01)
+                    assert_same_solution(got, fresh_solve(g.augmented, g.weights, k))
+                    directions.append(classify_optimum(g, got, 0.01))
+                assert directions == [Direction.GE, Direction.GE, Direction.LE, Direction.LE]
+                assert run.cluster_graphs_built == 1
+                clusters = fresh_solve(g.augmented, g.weights, k).diagnostics["cluster_count"]
+                assert run.clusters_scored == clusters + 3 * k
+
+    def test_changes_beyond_isolated_fields_rebuild(self):
+        m1 = random_instance(9, 3, (-0.4, 0.4), (-0.5, 0.5), seed=1)
+        m2 = random_instance(9, 3, (-0.4, 0.4), (-0.5, 0.5), seed=2)
+        w1 = random_weights(9, (-1, 1), seed=3)
+        w2 = random_weights(9, (-1, 1), seed=4)
+        assert m1.beta != m2.beta
+        calls = [(m1, w1, 1), (m2, w1, 1), (m1, w1, 1), (m1, w2, 1), (m1, w1, 1),
+                 (m1, w1, 2), (m1, w1, 1)]
+        # a field change on a vertex with neighbours moves other clusters' scores
+        for u in range(m1.n):
+            if m1.degree(u):
+                calls += [(m1, w1, 2), (with_field(m1, u, m1.h[u] + 0.9), w1, 2)]
+        run = make_localization_solver()
+        for model, weights, k in calls:
+            assert_same_solution(run(model, weights, k, 0.01), fresh_solve(model, weights, k))
+        assert run.cluster_graphs_built == len(calls)
 
 
 def test_direction_enum_labels():
